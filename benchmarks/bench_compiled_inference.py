@@ -30,7 +30,8 @@ import numpy as np
 from conftest import emit, is_quick
 
 from repro.ensemble import RandomForestClassifier
-from repro.trees import DecisionTreeClassifier, inference_backend
+from repro.ensemble.voting import majority_vote
+from repro.trees import DecisionTreeClassifier, predict_batch
 from repro.trees.node import InternalNode, Leaf
 
 #: (n_trees, node depth, leaf probability, batch size) grid.  The leaf
@@ -105,10 +106,14 @@ def test_bench_compiled_inference(request):
         forest = _random_forest(gen, n_trees, depth, leaf_p)
         X = gen.normal(size=(batch, N_FEATURES))
 
-        with inference_backend("object"):
-            object_all = forest.predict_all(X)
-            t_object_all = _best_of(lambda: forest.predict_all(X), repeats)
-            t_object_pred = _best_of(lambda: forest.predict(X), repeats)
+        def object_predict_all():
+            return np.stack([predict_batch(root, X) for root in forest.roots()])
+
+        object_all = object_predict_all()
+        t_object_all = _best_of(object_predict_all, repeats)
+        t_object_pred = _best_of(
+            lambda: majority_vote(object_predict_all(), forest.classes_), repeats
+        )
 
         engine = forest.compile()
         compiled_all = engine.predict_all(X)

@@ -3,10 +3,12 @@
 Not a paper artefact: this benchmark measures the split-search engine
 behind every ``fit`` in the repo, layer by layer:
 
-- **seed** (``splitter="local"``) — the node-local engine the repo
-  shipped before the presorted engine: one Python iteration per
-  candidate feature per node, each re-running ``np.argsort``;
-- **presorted, cold cache** — the default engine with the presort cache
+- **seed** — the node-local engine the repo shipped before the
+  presorted engine: one Python iteration per candidate feature per
+  node, each re-running ``np.argsort``.  It survives as the test
+  suite's differential oracle (``tests/trees/oracles.py``) and is
+  swapped into tree growth for these rows;
+- **presorted, cold cache** — the production engine with the presort cache
   cleared first, so the measurement includes building the per-dataset
   sort tables once (this is what a fresh ``fit`` pays);
 - **presorted, warm cache** — ``TrainWithTrigger``-style weight
@@ -32,7 +34,9 @@ Run (smoke mode, seconds)::
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import emit, is_quick
@@ -87,21 +91,26 @@ def _dataset(cfg):
     return X, y, weights, trigger, X_test
 
 
-def _forest(cfg, params, splitter, seed=23):
+def _load_oracles():
+    """The node-local split search, kept in the tests as an oracle."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "trees" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("tree_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _forest(cfg, params, seed=23):
     return RandomForestClassifier(
-        n_estimators=cfg["n_estimators"], splitter=splitter, random_state=seed,
-        **params,
+        n_estimators=cfg["n_estimators"], random_state=seed, **params
     )
 
 
 def _identical(a, b) -> bool:
-    da, db = forest_to_dict(a), forest_to_dict(b)
-    da["params"].pop("splitter")
-    db["params"].pop("splitter")
-    return da == db
+    return forest_to_dict(a) == forest_to_dict(b)
 
 
-def _timed_fit(cfg, splitter, X, y, weights):
+def _timed_fit(cfg, X, y, weights):
     """One cold-cache forest fit; returns (forest, wall_s, cpu_s).
 
     Both clocks are recorded: training is pure single-process compute,
@@ -110,14 +119,14 @@ def _timed_fit(cfg, splitter, X, y, weights):
     asserted on CPU time for that reason.
     """
     clear_presort_cache()
-    forest = _forest(cfg, cfg["fit_params"], splitter)
+    forest = _forest(cfg, cfg["fit_params"])
     wall = time.perf_counter()
     cpu = time.process_time()
     forest.fit(X, y, sample_weight=weights)
     return forest, time.perf_counter() - wall, time.process_time() - cpu
 
 
-def _timed_refit_loop(cfg, splitter, X, y, weights, trigger, cold_cache):
+def _timed_refit_loop(cfg, X, y, weights, trigger, cold_cache):
     """A TrainWithTrigger-style escalation loop; returns (forest, wall_s, cpu_s).
 
     Each round escalates the trigger weights and selectively refits a
@@ -127,7 +136,7 @@ def _timed_refit_loop(cfg, splitter, X, y, weights, trigger, cold_cache):
     the difference to the warm run is cache reuse and nothing else.
     """
     clear_presort_cache()
-    forest = _forest(cfg, cfg["refit_params"], splitter)
+    forest = _forest(cfg, cfg["refit_params"])
     forest.fit(X, y, sample_weight=weights)  # warm-up fit, untimed
     round_weights = weights.copy()
     slots = np.arange(cfg["refit_trees"])
@@ -146,19 +155,22 @@ def _timed_refit_loop(cfg, splitter, X, y, weights, trigger, cold_cache):
     return forest, wall_elapsed, cpu_elapsed
 
 
-def test_tree_fit_benchmark(request):
+def test_tree_fit_benchmark(request, monkeypatch):
     quick = is_quick(request.config)
     cfg = QUICK if quick else FULL
     X, y, weights, trigger, X_test = _dataset(cfg)
+    oracles = _load_oracles()
 
     rows = []
 
     # ------------------------------------------------------------------
     # Layer 1+2: full forest fit, seed vs presorted (cold cache).
     # ------------------------------------------------------------------
-    seed_forest, seed_wall, seed_cpu = _timed_fit(cfg, "local", X, y, weights)
+    with monkeypatch.context() as patched:
+        oracles.use_node_local_splits(patched)
+        seed_forest, seed_wall, seed_cpu = _timed_fit(cfg, X, y, weights)
     presorted_forest, presorted_wall, presorted_cpu = _timed_fit(
-        cfg, "presorted", X, y, weights
+        cfg, X, y, weights
     )
     fit_speedup = seed_cpu / presorted_cpu
     assert _identical(seed_forest, presorted_forest), (
@@ -181,14 +193,16 @@ def test_tree_fit_benchmark(request):
     # Layer 3: escalation refit loop — cache reuse alone (cold vs warm).
     # ------------------------------------------------------------------
     cold_forest, cold_wall, cold_cpu = _timed_refit_loop(
-        cfg, "presorted", X, y, weights, trigger, cold_cache=True
+        cfg, X, y, weights, trigger, cold_cache=True
     )
     warm_forest, warm_wall, warm_cpu = _timed_refit_loop(
-        cfg, "presorted", X, y, weights, trigger, cold_cache=False
+        cfg, X, y, weights, trigger, cold_cache=False
     )
-    seed_loop_forest, seed_loop_wall, seed_loop_cpu = _timed_refit_loop(
-        cfg, "local", X, y, weights, trigger, cold_cache=True
-    )
+    with monkeypatch.context() as patched:
+        oracles.use_node_local_splits(patched)
+        seed_loop_forest, seed_loop_wall, seed_loop_cpu = _timed_refit_loop(
+            cfg, X, y, weights, trigger, cold_cache=True
+        )
     reuse_speedup = cold_cpu / warm_cpu
     assert _identical(cold_forest, warm_forest)
     assert _identical(seed_loop_forest, warm_forest), (

@@ -32,7 +32,12 @@ import numpy as np
 
 from ...exceptions import SerializationError
 from ..atomic import atomic_write
-from ..serialize import FORMAT_VERSION, _report_from_dict, _report_to_dict
+from ..serialize import (
+    FORMAT_VERSION,
+    _report_from_dict,
+    _report_to_dict,
+    portable_params,
+)
 from .base import Exporter, register
 
 __all__ = ["BinaryExporter", "MAGIC"]
@@ -56,16 +61,6 @@ _NATIVE_ORDER = b"<" if sys.byteorder == "little" else b">"
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _sanitize_params(params: dict) -> dict:
-    """Drop non-JSON-serialisable random state, like ``forest_to_dict``."""
-    params = dict(params)
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
-    return params
 
 
 def _export_engine(model):
@@ -141,7 +136,7 @@ def _forest_sections(forest) -> tuple[list[tuple[str, np.ndarray]], dict]:
         "version": list(_VERSION),
         "kind": "forest",
         "serialize_format_version": FORMAT_VERSION,
-        "params": _sanitize_params(forest.get_params()),
+        "params": portable_params(forest.get_params()),
         "n_features_in": int(forest.n_features_in_),
         "n_trees": int(engine.n_trees),
         "depth": int(tables["depth"]),
@@ -161,7 +156,7 @@ def _boosted_sections(model) -> tuple[list[tuple[str, np.ndarray]], dict]:
         "version": list(_VERSION),
         "kind": "gradient_boosting",
         "serialize_format_version": FORMAT_VERSION,
-        "params": _sanitize_params(model.get_params()),
+        "params": portable_params(model.get_params()),
         "init_score": float(model.init_score_),
         "n_features_in": int(model.n_features_in_),
         "n_trees": int(engine.n_trees),
@@ -435,7 +430,7 @@ class BinaryExporter(Exporter):
 
         engine = self._engine_from(arrays, trailer, path)
         try:
-            forest = RandomForestClassifier(**trailer["params"])
+            forest = RandomForestClassifier(**portable_params(trailer["params"]))
             forest.classes_ = np.asarray(arrays["classes"], dtype=np.int64)
             forest.n_features_in_ = int(trailer["n_features_in"])
             lengths = np.asarray(arrays["subset_len"], dtype=np.int64)
@@ -484,7 +479,7 @@ class BinaryExporter(Exporter):
 
         engine = self._engine_from(arrays, trailer, path)
         try:
-            model = GradientBoostingClassifier(**trailer["params"])
+            model = GradientBoostingClassifier(**portable_params(trailer["params"]))
             model.init_score_ = float(trailer["init_score"])
             model.n_features_in_ = int(trailer["n_features_in"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,6 +21,7 @@ import numpy as np
 
 from ...exceptions import SerializationError
 from ..atomic import atomic_write
+from ..serialize import portable_params
 from .base import Exporter, register
 
 __all__ = ["SklearnExporter"]
@@ -121,7 +122,7 @@ class SklearnExporter(Exporter):
             class_position = {int(c): i for i, c in enumerate(classes)}
             meta = {
                 "kind": "forest",
-                "params": _jsonable_params(model.get_params()),
+                "params": portable_params(model.get_params()),
                 "classes": [int(c) for c in classes],
                 "n_features_in": int(model.n_features_in_),
                 "n_estimators": len(trees),
@@ -138,7 +139,7 @@ class SklearnExporter(Exporter):
             trees = model._check_fitted()
             meta = {
                 "kind": "gradient_boosting",
-                "params": _jsonable_params(model.get_params()),
+                "params": portable_params(model.get_params()),
                 "init_score": float(model.init_score_),
                 "n_features_in": int(model.n_features_in_),
                 "n_estimators": len(trees),
@@ -192,7 +193,7 @@ class SklearnExporter(Exporter):
             ]
             if kind == "forest":
                 classes = np.asarray(meta["classes"], dtype=np.int64)
-                forest = RandomForestClassifier(**meta["params"])
+                forest = RandomForestClassifier(**portable_params(meta["params"]))
                 forest.classes_ = classes
                 forest.n_features_in_ = int(meta["n_features_in"])
                 forest.feature_subsets_ = [
@@ -211,7 +212,7 @@ class SklearnExporter(Exporter):
                 forest.trees_ = trees
                 return forest
             if kind == "gradient_boosting":
-                model = GradientBoostingClassifier(**meta["params"])
+                model = GradientBoostingClassifier(**portable_params(meta["params"]))
                 model.init_score_ = float(meta["init_score"])
                 model.n_features_in_ = int(meta["n_features_in"])
                 trees = []
@@ -232,15 +233,6 @@ class SklearnExporter(Exporter):
             raise SerializationError(
                 f"malformed sklearn-interop archive {path}: {exc}"
             ) from exc
-
-
-def _jsonable_params(params: dict) -> dict:
-    params = dict(params)
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
-    return params
 
 
 register(SklearnExporter())

@@ -29,6 +29,7 @@ __all__ = [
     "node_from_dict",
     "regression_node_to_dict",
     "regression_node_from_dict",
+    "portable_params",
     "forest_to_dict",
     "forest_from_dict",
     "boosted_to_dict",
@@ -44,6 +45,36 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+
+#: Constructor arguments that earlier releases wrote into artefacts and
+#: the estimators no longer accept.  ``splitter`` chose between two
+#: split-search engines that grew bit-identical trees, so dropping it
+#: on load changes no restored model.
+_RETIRED_PARAMS = ("splitter",)
+
+
+def portable_params(params) -> dict:
+    """Estimator parameters as artefacts store them and constructors take them.
+
+    Every artefact format routes ``get_params()`` through this on save
+    and the stored params through it again on load.  A shared
+    ``Generator`` / ``SeedSequence`` random state is not
+    JSON-serialisable and not needed for replay, so it is stored as
+    ``None``; retired constructor arguments are dropped, so artefacts
+    written before their removal still load.
+    """
+    params = dict(params)
+    for name in _RETIRED_PARAMS:
+        params.pop(name, None)
+    random_state = params.get("random_state")
+    # Stored params hold only JSON values.  Testing those against the
+    # RNG classes would import numpy.random (loaded lazily, ~2 MB) into
+    # processes that never draw a random number, such as the daemon.
+    if not isinstance(random_state, (type(None), int)) and isinstance(
+        random_state, (np.random.Generator, np.random.SeedSequence)
+    ):
+        params["random_state"] = None
+    return params
 
 
 def node_to_dict(node: TreeNode) -> dict:
@@ -296,16 +327,9 @@ def forest_to_dict(
     """
     if forest.trees_ is None:
         raise SerializationError("cannot serialise an unfitted forest")
-    params = forest.get_params()
-    # A shared Generator or SeedSequence is not JSON-serialisable and
-    # not needed for replay.
-    if isinstance(
-        params.get("random_state"), (np.random.Generator, np.random.SeedSequence)
-    ):
-        params["random_state"] = None
     data = {
         "format_version": FORMAT_VERSION,
-        "params": params,
+        "params": portable_params(forest.get_params()),
         "classes": [int(c) for c in forest.classes_],
         "n_features_in": int(forest.n_features_in_),
         "feature_subsets": [subset.tolist() for subset in forest.feature_subsets_],
@@ -323,7 +347,7 @@ def forest_from_dict(data: dict) -> RandomForestClassifier:
             raise SerializationError(
                 f"unsupported format version {data['format_version']}"
             )
-        forest = RandomForestClassifier(**data["params"])
+        forest = RandomForestClassifier(**portable_params(data["params"]))
         forest.classes_ = np.array(data["classes"], dtype=np.int64)
         forest.n_features_in_ = int(data["n_features_in"])
         forest.feature_subsets_ = [
@@ -359,7 +383,7 @@ def boosted_to_dict(model: GradientBoostingClassifier) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "gradient_boosting",
-        "params": model.get_params(),
+        "params": portable_params(model.get_params()),
         "init_score": float(model.init_score_),
         "n_features_in": int(model.n_features_in_),
         "trees": [regression_node_to_dict(tree.root_) for tree in model.trees_],
@@ -378,7 +402,7 @@ def boosted_from_dict(data: dict) -> GradientBoostingClassifier:
             raise SerializationError(
                 f"expected a gradient_boosting artefact, got kind {kind!r}"
             )
-        model = GradientBoostingClassifier(**data["params"])
+        model = GradientBoostingClassifier(**portable_params(data["params"]))
         model.init_score_ = float(data["init_score"])
         model.n_features_in_ = int(data["n_features_in"])
         trees = []

@@ -1,8 +1,8 @@
 """Per-dataset presorted feature orders — the training-side sort cache.
 
 Exact split search spends almost all of its time ordering feature
-columns: the node-local splitter re-runs ``np.argsort`` for every
-candidate feature at every node.  But Algorithm 1 (``TrainWithTrigger``)
+columns: a node-local search re-runs ``np.argsort`` for every candidate
+feature at every node.  But Algorithm 1 (``TrainWithTrigger``)
 retrains forests again and again on the *same* ``X`` with only the
 sample weights changed — escalation rounds, selective ``refit_trees``,
 the ``Adjust`` probe, every grid-search candidate.  Sort orders depend
@@ -19,7 +19,8 @@ provided the subset index is ascending — which tree growth guarantees)
 or, for small nodes where an O(n) filter pass would cost more than an
 O(k log k) sort, by a node-local stable argsort.  Both produce the exact
 same permutation, so trees grown on top of this cache are **bit-for-bit
-identical** to the node-local splitter's output.
+identical** to a node-local re-sorting search's output (the test suite
+keeps that search as its differential oracle).
 
 The module-level cache is keyed by *array identity* (``X is cached.X``)
 rather than by content hash: the training pipelines thread one validated

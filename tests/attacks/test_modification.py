@@ -89,8 +89,9 @@ class TestFlipLeaves:
         # `predict_proba` (leaf distributions) must name the same
         # majority class — on the object path and the compiled path.
         from repro.ensemble import RandomForestClassifier
-        from repro.trees import inference_backend
+        from repro.trees import predict_batch
 
+        oracles = _load_tree_oracles()
         X_train, X_test, y_train, _ = bc_data
         # Unconstrained trees reach pure leaves, so argmax is tie-free.
         forest = RandomForestClassifier(
@@ -98,14 +99,29 @@ class TestFlipLeaves:
         ).fit(X_train, y_train)
         attacked = flip_forest_leaves(forest, 1.0, random_state=24)
         for tree in attacked.trees_:
-            for backend in ("object", "compiled"):
-                with inference_backend(backend):
-                    if backend == "compiled":
-                        tree.compile()
-                    labels = tree.predict(X_test)
-                    proba = tree.predict_proba(X_test)
+            tree.compile()
+            paths = {
+                "object": (
+                    predict_batch(tree.root_, X_test),
+                    oracles.object_predict_proba(tree, X_test),
+                ),
+                "compiled": (tree.predict(X_test), tree.predict_proba(X_test)),
+            }
+            for path, (labels, proba) in paths.items():
                 by_proba = tree.classes_[np.argmax(proba, axis=1)]
-                assert np.array_equal(labels, by_proba), backend
+                assert np.array_equal(labels, by_proba), path
+
+
+def _load_tree_oracles():
+    """The object-graph inference oracles from ``tests/trees/oracles.py``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "trees" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("tree_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _leaves(root):

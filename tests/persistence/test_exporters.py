@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import WatermarkedModel
-from repro.ensemble import GradientBoostingClassifier
+from repro.ensemble import GradientBoostingClassifier, RandomForestClassifier
 from repro.exceptions import SerializationError
 from repro.persistence import (
     available_formats,
@@ -117,6 +117,42 @@ class TestForestRoundtrip:
         restored = load(path)
         assert np.array_equal(
             restored.predict_all(X_test), bc_forest.predict_all(X_test)
+        )
+
+    @pytest.mark.parametrize("splitter", ["local", "presorted"])
+    @pytest.mark.parametrize("fmt,ext,mmap_mode", [
+        ("json", "json", None),
+        ("binary", "rfbin", None),
+        ("binary", "rfbin", "r"),
+        ("sklearn", "npz", None),
+    ])
+    def test_retired_splitter_param_still_loads(
+        self, bc_data, tmp_path, monkeypatch, fmt, ext, mmap_mode, splitter
+    ):
+        # Artefacts from releases that had the ``splitter=`` switch
+        # carry it in their params; loading drops it.
+        X_train, X_test, y_train, _ = bc_data
+        forest = RandomForestClassifier(
+            n_estimators=4, max_depth=5, random_state=7
+        ).fit(X_train, y_train)
+        path = tmp_path / f"legacy.{ext}"
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.persistence.serialize._RETIRED_PARAMS", ())
+            patched.setattr(
+                forest,
+                "get_params",
+                lambda: {
+                    **RandomForestClassifier.get_params(forest),
+                    "splitter": splitter,
+                },
+            )
+            save(forest, path, format=fmt)
+        assert f'"splitter": "{splitter}"'.encode() in path.read_bytes()
+
+        restored = load(path, mmap_mode=mmap_mode)
+        assert "splitter" not in restored.get_params()
+        assert np.array_equal(
+            restored.predict_all(X_test), forest.predict_all(X_test)
         )
 
     def test_binary_reexport_roundtrip(self, bc_forest, bc_data, tmp_path):

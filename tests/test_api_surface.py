@@ -1,14 +1,17 @@
 """Public-API surface snapshot.
 
-Pins ``repro.__all__`` and the ``repro.api`` exports so accidental
-breaks of the public surface (a removed re-export, a renamed class, a
-new symbol nobody reviewed) fail tier-1 instead of shipping silently.
+Pins ``repro.__all__``, the ``repro.api`` exports and the
+``repro.trees`` exports so accidental breaks of the public surface (a
+removed re-export, a renamed class, a new symbol nobody reviewed — such
+as a second split engine or inference backend switch) fail tier-1
+instead of shipping silently.
 When a change here is *intentional*, update the snapshot in the same
 commit that changes the surface.
 """
 
 import repro
 import repro.api
+import repro.trees
 
 REPRO_ALL = [
     "Attack",
@@ -81,6 +84,37 @@ API_ALL = [
     "run_scenario_matrix",
 ]
 
+TREES_ALL = [
+    "Box",
+    "CompiledTree",
+    "DecisionTreeClassifier",
+    "InternalNode",
+    "Leaf",
+    "RegressionTree",
+    "SortedDataset",
+    "TreeNode",
+    "TreeStats",
+    "boxes_for_label",
+    "clear_presort_cache",
+    "compile_tree",
+    "ensemble_structure",
+    "entropy_impurity",
+    "gini_impurity",
+    "iter_leaves",
+    "iter_nodes",
+    "leaf_boxes",
+    "predict_batch",
+    "predict_one",
+    "presort_cache_stats",
+    "presorted_dataset",
+    "prune_cost_complexity",
+    "pruning_path",
+    "resolve_max_features",
+    "subtree_risk",
+    "tree_stats",
+    "tree_to_text",
+]
+
 REGISTERED_ATTACKS = (
     "chain",
     "detection",
@@ -118,3 +152,12 @@ class TestApiSurface:
 
     def test_attack_registry_is_pinned(self):
         assert repro.api.available_attacks() == REGISTERED_ATTACKS
+
+
+class TestTreesSurface:
+    def test_all_is_pinned(self):
+        assert sorted(repro.trees.__all__) == TREES_ALL
+
+    def test_every_export_resolves(self):
+        for name in repro.trees.__all__:
+            assert getattr(repro.trees, name) is not None

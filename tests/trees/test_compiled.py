@@ -2,27 +2,29 @@
 
 The compiled engine must be *bitwise identical* to the ``TreeNode``
 traversal — the watermark lives in exact per-tree predictions, so even
-one flipped borderline comparison would corrupt verification.
+one flipped borderline comparison would corrupt verification.  The
+object-graph references come from ``oracles.py``, which never touches
+a compiled table.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.ensemble import (
     GradientBoostingClassifier,
     RandomForestClassifier,
     compile_forest,
     compile_trees,
 )
+from repro.ensemble.voting import majority_vote
 from repro.exceptions import ValidationError
 from repro.trees import DecisionTreeClassifier, compile_tree
-from repro.trees.compiled import (
-    get_inference_backend,
-    inference_backend,
-    set_inference_backend,
-)
+from repro.trees.compiled import MIN_COMPILE_ROWS
 from repro.trees.node import InternalNode, Leaf, predict_batch
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -107,9 +109,47 @@ class TestCompiledTreeEquivalence:
         X, y = _random_data(gen, n_samples=300)
         tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
         X_query = gen.normal(size=(128, X.shape[1]))
-        with inference_backend("object"):
-            reference = tree.predict_proba(X_query)
+        reference = oracles.object_predict_proba(tree, X_query)
         assert np.array_equal(tree.compile().predict_proba(X_query), reference)
+
+        # Either side of the lazy-compile threshold, a never-compiled
+        # model answers bit for bit like the object graph: below it on
+        # the object path, from it on through a freshly built engine.
+        forest = RandomForestClassifier(
+            n_estimators=5, max_depth=6, random_state=4
+        ).fit(X, y)
+        for n_rows in (MIN_COMPILE_ROWS - 1, MIN_COMPILE_ROWS, MIN_COMPILE_ROWS + 1):
+            X_batch = X_query[:n_rows]
+            fresh_tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
+            assert np.array_equal(
+                fresh_tree.predict(X_batch), predict_batch(fresh_tree.root_, X_batch)
+            )
+            assert np.array_equal(
+                fresh_tree.predict_proba(X_batch),
+                oracles.object_predict_proba(fresh_tree, X_batch),
+            )
+            fresh = forest.with_roots(forest.roots())
+            reference_all = oracles.object_predict_all(forest, X_batch)
+            assert np.array_equal(fresh.predict_all(X_batch), reference_all)
+            fresh = forest.with_roots(forest.roots())
+            assert np.array_equal(
+                fresh.predict(X_batch), majority_vote(reference_all, forest.classes_)
+            )
+            fresh = forest.with_roots(forest.roots())
+            assert np.array_equal(
+                fresh.predict_proba(X_batch),
+                oracles.object_predict_proba(forest, X_batch),
+            )
+            assert (fresh._compiled_ is None) == (n_rows < MIN_COMPILE_ROWS)
+
+    def test_unknown_leaf_label_is_a_validation_error(self):
+        tree = DecisionTreeClassifier()
+        tree.root_ = Leaf(prediction=7, class_weights={7: 1.0})
+        tree.classes_ = np.array([-1, 1])
+        tree.n_features_in_ = 2
+        for n_rows in (MIN_COMPILE_ROWS - 1, MIN_COMPILE_ROWS):  # object, compiled
+            with pytest.raises(ValidationError, match="not in the classes"):
+                tree.predict_proba(np.zeros((n_rows, 2)))
 
     def test_proba_requires_classes(self):
         engine = compile_tree(Leaf(prediction=1))
@@ -131,10 +171,9 @@ class TestCompiledForestEquivalence:
         ).fit(X, y)
         X_query = gen.normal(size=(200, X.shape[1]))
 
-        with inference_backend("object"):
-            reference_all = forest.predict_all(X_query)
-            reference_pred = forest.predict(X_query)
-            reference_proba = forest.predict_proba(X_query)
+        reference_all = oracles.object_predict_all(forest, X_query)
+        reference_pred = majority_vote(reference_all, forest.classes_)
+        reference_proba = oracles.object_predict_proba(forest, X_query)
 
         engine = forest.compile()
         assert np.array_equal(engine.predict_all(X_query), reference_all)
@@ -179,10 +218,9 @@ class TestCompiledForestEquivalence:
         ).fit(X, y)
         X_query = gen.normal(size=(150, X.shape[1]))
 
-        with inference_backend("object"):
-            reference_contrib = model.stage_contributions(X_query)
-            reference_margin = model.decision_function(X_query)
-            reference_pred = model.predict(X_query)
+        reference_contrib = oracles.object_stage_contributions(model, X_query)
+        reference_margin = model.init_score_ + reference_contrib.sum(axis=0)
+        reference_pred = np.where(reference_margin >= 0.0, 1, -1)
 
         model.compile()
         assert np.array_equal(model.stage_contributions(X_query), reference_contrib)
@@ -191,20 +229,13 @@ class TestCompiledForestEquivalence:
 
 
 class TestBackendAndCaching:
-    def test_backend_switch_and_restore(self):
-        assert get_inference_backend() == "compiled"
-        with inference_backend("object"):
-            assert get_inference_backend() == "object"
-        assert get_inference_backend() == "compiled"
-        with pytest.raises(ValidationError):
-            set_inference_backend("numba")
-
-    def test_object_backend_never_compiles(self):
+    def test_object_path_never_compiles(self):
         gen = np.random.default_rng(5)
         X, y = _random_data(gen)
         tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        with inference_backend("object"):
-            tree.predict(gen.normal(size=(500, X.shape[1])))
+        X_small = gen.normal(size=(MIN_COMPILE_ROWS - 1, X.shape[1]))
+        tree.predict(X_small)
+        tree.predict_proba(X_small)
         assert tree._compiled_ is None
 
     def test_lazy_compile_skips_tiny_batches(self):
@@ -232,8 +263,7 @@ class TestBackendAndCaching:
 
         attacked = truncate_forest(forest, max_depth=1)
         X_query = gen.normal(size=(300, X.shape[1]))
-        with inference_backend("object"):
-            reference = attacked.predict_all(X_query)
+        reference = oracles.object_predict_all(attacked, X_query)
         assert np.array_equal(attacked.predict_all(X_query), reference)
         assert attacked._compiled_ is not stale
         # The original forest still answers from its untouched cache.
@@ -287,10 +317,12 @@ class TestCompiledVerificationPath:
         compiled_report = verify_ownership(
             model.ensemble, signature, model.trigger.X, model.trigger.y
         )
-        with inference_backend("object"):
-            object_report = verify_ownership(
-                model.ensemble, signature, model.trigger.X, model.trigger.y
-            )
+        object_graph = SimpleNamespace(
+            predict_all=lambda X: oracles.object_predict_all(model.ensemble, X)
+        )
+        object_report = verify_ownership(
+            object_graph, signature, model.trigger.X, model.trigger.y
+        )
         assert compiled_report.accepted and object_report.accepted
         assert np.array_equal(
             compiled_report.per_tree_accuracy, object_report.per_tree_accuracy

@@ -1,13 +1,14 @@
 """Presorted training engine: cache mechanics + bitwise differential tests.
 
-The presorted splitter's contract is stronger than "statistically the
-same": trees grown through the sort cache must be **bit-for-bit
-identical** to the node-local (seed) splitter's — same thresholds, same
-tie-breaks, same serialised form, same predictions.  These tests pin
-that contract over seeded random datasets, including the degenerate
-shapes the watermarking pipeline produces (constant features, heavily
-re-weighted trigger rows, duplicated values), plus the cache's identity
-keying and fork-adoption behaviour.
+The split engine's contract is stronger than "statistically the same":
+trees grown through the sort cache must be **bit-for-bit identical** to
+the node-local (seed) split search's — same thresholds, same
+tie-breaks, same serialised form, same predictions.  The node-local
+search lives in ``oracles.py`` and is swapped in with ``monkeypatch``.
+These tests pin that contract over seeded random datasets, including
+the degenerate shapes the watermarking pipeline produces (constant
+features, heavily re-weighted trigger rows, duplicated values), plus
+the cache's identity keying and fork-adoption behaviour.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from repro.ensemble import RandomForestClassifier
-from repro.exceptions import ValidationError
 from repro.persistence import forest_to_dict
 from repro.persistence.serialize import node_to_dict
 from repro.trees import (
@@ -40,15 +41,6 @@ def _fresh_cache():
     clear_presort_cache()
     yield
     clear_presort_cache()
-
-
-def _forest_dicts_modulo_splitter(*forests):
-    out = []
-    for forest in forests:
-        data = forest_to_dict(forest)
-        data["params"].pop("splitter")
-        out.append(data)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +205,7 @@ class TestPresortCache:
 
 
 # ----------------------------------------------------------------------
-# Differential tests: presorted engine ≡ seed splitter, bit for bit
+# Differential tests: production engine ≡ node-local oracle, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -243,20 +235,26 @@ def _random_problem(rng, trial):
     return X, y, weights, params
 
 
+def _fit_tree_both_ways(monkeypatch, X, y, w, **params):
+    """The same tree fitted by the node-local oracle and by production."""
+    with monkeypatch.context() as patched:
+        oracles.use_node_local_splits(patched)
+        local = DecisionTreeClassifier(**params).fit(X, y, sample_weight=w)
+    presorted = DecisionTreeClassifier(**params).fit(X, y, sample_weight=w)
+    return local, presorted
+
+
 class TestDifferentialTrees:
-    def test_trees_bitwise_identical_across_engines(self):
+    def test_trees_bitwise_identical_across_engines(self, monkeypatch):
         rng = np.random.default_rng(1234)
         for trial in range(25):
             X, y, weights, params = _random_problem(rng, trial)
-            local = DecisionTreeClassifier(splitter="local", **params)
-            presorted = DecisionTreeClassifier(splitter="presorted", **params)
-            local.fit(X, y, sample_weight=weights)
-            presorted.fit(X, y, sample_weight=weights)
+            local, presorted = _fit_tree_both_ways(monkeypatch, X, y, weights, **params)
             assert node_to_dict(local.root_) == node_to_dict(presorted.root_), (
                 f"trial {trial}: presorted tree differs from seed tree"
             )
 
-    def test_multiclass_generic_kernel_identical(self):
+    def test_multiclass_generic_kernel_identical(self, monkeypatch):
         rng = np.random.default_rng(99)
         for trial in range(8):
             n = int(rng.integers(20, 150))
@@ -265,30 +263,24 @@ class TestDifferentialTrees:
             y[:4] = np.arange(4)  # ensure all classes appear
             w = rng.uniform(0.1, 3.0, size=n)
             for criterion in ("gini", "entropy"):
-                kw = dict(criterion=criterion, max_depth=6, random_state=trial)
-                a = DecisionTreeClassifier(splitter="local", **kw).fit(
-                    X, y, sample_weight=w
-                )
-                b = DecisionTreeClassifier(splitter="presorted", **kw).fit(
-                    X, y, sample_weight=w
+                a, b = _fit_tree_both_ways(
+                    monkeypatch, X, y, w,
+                    criterion=criterion, max_depth=6, random_state=trial,
                 )
                 assert node_to_dict(a.root_) == node_to_dict(b.root_)
 
-    def test_zero_weight_rows_identical(self):
+    def test_zero_weight_rows_identical(self, monkeypatch):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(80, 4))
         y = rng.choice([-1, 1], size=80)
         w = np.ones(80)
         w[::3] = 0.0  # zero-weight rows are dropped from the root index
-        a = DecisionTreeClassifier(splitter="local", max_depth=5, random_state=0)
-        b = DecisionTreeClassifier(splitter="presorted", max_depth=5, random_state=0)
-        a.fit(X, y, sample_weight=w)
-        b.fit(X, y, sample_weight=w)
+        a, b = _fit_tree_both_ways(monkeypatch, X, y, w, max_depth=5, random_state=0)
         assert node_to_dict(a.root_) == node_to_dict(b.root_)
 
 
 class TestDifferentialForests:
-    def test_forests_bitwise_identical_and_predict_all_equal(self, rng):
+    def test_forests_bitwise_identical_and_predict_all_equal(self, rng, monkeypatch):
         X = rng.normal(size=(200, 8))
         y = np.where(X[:, 0] - X[:, 3] > 0, 1, -1)
         weights = np.ones(200)
@@ -299,39 +291,39 @@ class TestDifferentialForests:
             tree_feature_fraction=0.6,
             random_state=42,
         )
-        local = RandomForestClassifier(splitter="local", **common)
-        presorted = RandomForestClassifier(splitter="presorted", **common)
-        local.fit(X, y, sample_weight=weights)
-        presorted.fit(X, y, sample_weight=weights)
-        dicts = _forest_dicts_modulo_splitter(local, presorted)
-        assert dicts[0] == dicts[1]
+        with monkeypatch.context() as patched:
+            oracles.use_node_local_splits(patched)
+            local = RandomForestClassifier(**common).fit(X, y, sample_weight=weights)
+        presorted = RandomForestClassifier(**common).fit(X, y, sample_weight=weights)
+        assert forest_to_dict(local) == forest_to_dict(presorted)
         X_test = rng.normal(size=(64, 8))
         assert np.array_equal(local.predict_all(X_test), presorted.predict_all(X_test))
 
-    def test_refit_rounds_reuse_presort_and_stay_identical(self, rng):
+    def test_refit_rounds_reuse_presort_and_stay_identical(self, rng, monkeypatch):
         """Weight-only refresh: escalation rounds hit the cache, and the
-        refitted forests match a local-splitter replay bit for bit."""
+        refitted forests match a node-local replay bit for bit."""
         X = rng.normal(size=(150, 6))
         y = rng.choice([-1, 1], size=150)
-        weights = np.ones(150)
+        rounds = [np.ones(150)]
+        for _ in range(3):  # escalation-style rounds: weights change, X doesn't
+            rounds.append(rounds[-1].copy())
+            rounds[-1][:5] += 10.0
         common = dict(n_estimators=5, max_depth=6, random_state=3)
-        local = RandomForestClassifier(splitter="local", **common)
-        presorted = RandomForestClassifier(splitter="presorted", **common)
-        local.fit(X, y, sample_weight=weights)
-        presorted.fit(X, y, sample_weight=weights)
+        with monkeypatch.context() as patched:
+            oracles.use_node_local_splits(patched)
+            local = RandomForestClassifier(**common).fit(X, y, sample_weight=rounds[0])
+            for weights in rounds[1:]:
+                local.refit_trees([0, 2], X, y, sample_weight=weights)
+        presorted = RandomForestClassifier(**common).fit(X, y, sample_weight=rounds[0])
 
         before = presort_cache_stats()
-        for _ in range(3):  # escalation-style rounds: weights change, X doesn't
-            weights = weights.copy()
-            weights[:5] += 10.0
-            local.refit_trees([0, 2], X, y, sample_weight=weights)
+        for weights in rounds[1:]:
             presorted.refit_trees([0, 2], X, y, sample_weight=weights)
         after = presort_cache_stats()
         assert after["misses"] == before["misses"], "refit rounds must not re-sort"
         assert after["hits"] - before["hits"] >= 3
 
-        dicts = _forest_dicts_modulo_splitter(local, presorted)
-        assert dicts[0] == dicts[1]
+        assert forest_to_dict(local) == forest_to_dict(presorted)
 
     def test_parallel_presorted_fit_identical_to_serial(self, rng):
         X = rng.normal(size=(120, 5))
@@ -350,7 +342,7 @@ class TestDifferentialForests:
 
 
 class TestDifferentialRegression:
-    def test_regression_trees_identical_across_engines(self):
+    def test_regression_trees_identical_across_engines(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for trial in range(10):
             n = int(rng.integers(10, 200))
@@ -360,10 +352,10 @@ class TestDifferentialRegression:
                 X[:, 0] = np.round(X[:, 0], 1)
             y = rng.normal(size=n)
             w = rng.uniform(0.1, 4.0, size=n)
-            a = RegressionTree(max_depth=4, splitter="local").fit(X, y, sample_weight=w)
-            b = RegressionTree(max_depth=4, splitter="presorted").fit(
-                X, y, sample_weight=w
-            )
+            with monkeypatch.context() as patched:
+                oracles.use_node_local_regression_sorts(patched)
+                a = RegressionTree(max_depth=4).fit(X, y, sample_weight=w)
+            b = RegressionTree(max_depth=4).fit(X, y, sample_weight=w)
             X_test = rng.normal(size=(50, f))
             assert np.array_equal(a.predict(X_test), b.predict(X_test))
 
@@ -376,19 +368,3 @@ class TestDifferentialRegression:
         after = presort_cache_stats()
         assert after["misses"] - before["misses"] == 1
         assert after["hits"] - before["hits"] == 3
-
-
-class TestSplitterParam:
-    def test_unknown_splitter_rejected(self, rng):
-        X = rng.normal(size=(10, 2))
-        y = np.array([0, 1] * 5)
-        with pytest.raises(ValidationError, match="splitter"):
-            DecisionTreeClassifier(splitter="fancy").fit(X, y)
-        with pytest.raises(ValidationError, match="splitter"):
-            RegressionTree(splitter="fancy")
-
-    def test_forest_get_params_roundtrip(self):
-        forest = RandomForestClassifier(splitter="local")
-        assert forest.get_params()["splitter"] == "local"
-        clone = forest.clone_with(splitter="presorted")
-        assert clone.splitter == "presorted"

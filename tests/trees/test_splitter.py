@@ -3,32 +3,38 @@
 import numpy as np
 import pytest
 
+import oracles
 from repro.trees.criteria import gini_impurity, weighted_class_counts
-from repro.trees.presort import SortedDataset
+from repro.trees.presort import SortedDataset, root_ordering
 from repro.trees.splitter import find_best_split
 
 
 def _split(
-    X, y, weights=None, features=None, min_leaf=1, min_decrease=0.0, presort=False
+    X,
+    y,
+    weights=None,
+    features=None,
+    min_leaf=1,
+    min_decrease=0.0,
+    engine=find_best_split,
 ):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     classes, codes = np.unique(y, return_inverse=True)
-    if weights is None:
-        weights = np.ones(X.shape[0])
-    if features is None:
-        features = np.arange(X.shape[1])
-    return find_best_split(
+    weights = np.ones(X.shape[0]) if weights is None else np.asarray(weights, float)
+    features = np.arange(X.shape[1]) if features is None else np.asarray(features)
+    index = np.arange(X.shape[0])
+    return engine(
         X,
         codes,
-        np.asarray(weights, dtype=np.float64),
-        np.arange(X.shape[0]),
-        np.asarray(features),
+        weights,
+        index,
+        features,
         classes.shape[0],
         gini_impurity,
         min_leaf,
         min_decrease,
-        presort=SortedDataset(X) if presort else None,
+        ordering=root_ordering(SortedDataset(X), index, features, codes, weights),
     )
 
 
@@ -133,29 +139,33 @@ class TestConstraints:
         assert split.gain == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("presort", [False, True], ids=["local", "presorted"])
+@pytest.mark.parametrize(
+    "engine",
+    [oracles.find_best_split, find_best_split],
+    ids=["local", "presorted"],
+)
 class TestDeterminismContract:
-    """The splitter's tie-break and threshold guarantees, pinned for both
-    engines — these are the invariants the presorted engine must
-    reproduce bit for bit."""
+    """The splitter's tie-break and threshold guarantees, pinned for the
+    production engine and for the node-local oracle it must reproduce
+    bit for bit."""
 
-    def test_equal_gain_tie_breaks_to_lowest_feature_id(self, presort):
+    def test_equal_gain_tie_breaks_to_lowest_feature_id(self, engine):
         # Feature 1 duplicates feature 0, so every candidate threshold
         # has an exactly equal gain on both; the contract picks id 0.
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([-1, -1, 1, 1])
-        split = _split(X, y, presort=presort)
+        split = _split(X, y, engine=engine)
         assert split is not None
         assert split.feature == 0
 
-    def test_tie_break_independent_of_candidate_order(self, presort):
+    def test_tie_break_independent_of_candidate_order(self, engine):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([-1, -1, 1, 1])
-        split = _split(X, y, features=[1, 0], presort=presort)
+        split = _split(X, y, features=[1, 0], engine=engine)
         assert split is not None
         assert split.feature == 0
 
-    def test_midpoint_collapse_guard_routes_boundary_left(self, presort):
+    def test_midpoint_collapse_guard_routes_boundary_left(self, engine):
         # At 1e16 the float64 spacing is 2, so the midpoint of a=1e16
         # and b=1e16+2 rounds back onto a.  The guard must pin the
         # threshold to a itself and keep the boundary sample on the
@@ -164,7 +174,7 @@ class TestDeterminismContract:
         assert 0.5 * (a + b) == a  # midpoint collapses onto the left value
         X = np.array([[a], [a], [b], [b]])
         y = np.array([-1, -1, 1, 1])
-        split = _split(X, y, presort=presort)
+        split = _split(X, y, engine=engine)
         assert split is not None
         assert split.threshold == a
         assert sorted(split.left_index.tolist()) == [0, 1]
@@ -172,22 +182,22 @@ class TestDeterminismContract:
         # Boundary samples (value exactly a) satisfy x <= threshold.
         assert (X[split.left_index, 0] <= split.threshold).all()
 
-    def test_min_samples_leaf_zero_matches_local(self, presort):
+    def test_min_samples_leaf_zero_matches_local(self, engine):
         # Not a sensible setting, but the public API accepts it; both
         # engines must agree (positions clamp to [1, n-1] either way).
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([-1, -1, 1, 1, 1])
-        split = _split(X, y, min_leaf=0, presort=presort)
+        split = _split(X, y, min_leaf=0, engine=engine)
         assert split is not None
         assert split.feature == 0
         assert 1.0 < split.threshold < 2.0
 
-    def test_value_gap_below_epsilon_never_split(self, presort):
+    def test_value_gap_below_epsilon_never_split(self, engine):
         # Adjacent values closer than the minimum gap are one plateau:
         # no threshold may separate them.
         X = np.array([[1.0], [1.0 + 1e-13], [1.0 + 2e-13], [1.0 + 3e-14]])
         y = np.array([-1, 1, -1, 1])
-        assert _split(X, y, presort=presort) is None
+        assert _split(X, y, engine=engine) is None
 
 
 class TestWeightedClassCounts:
